@@ -16,7 +16,10 @@ test:
 # determinism regressions, RS property tests) under the race detector
 # by name, so a rename that orphans them from the main run still fails
 # loudly here. The survivability smoke gates the migration-vs-dispersal
-# matrix end to end through the figures binary.
+# matrix end to end through the figures binary. The archive smoke stops
+# a station with SIGTERM and requires the reopen to load every index
+# snapshot; the archive fuzz targets run their seed corpora as part of
+# the race-enabled test run.
 check:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -27,6 +30,7 @@ check:
 	$(GO) test -run 'Erasure|Disperse|Survivability' -race ./internal/erasure/ ./internal/storage/ ./internal/core/ ./internal/retrieval/ ./internal/experiments/
 	$(GO) test -run ArchiveSoak -race -count=1 ./internal/archive/
 	sh scripts/shard_smoke.sh
+	sh scripts/archive_smoke.sh
 	sh scripts/metrics_smoke.sh
 	sh scripts/survivability.sh
 	sh scripts/federation_smoke.sh
@@ -57,8 +61,9 @@ chaos-smoke:
 
 # archive-smoke runs the basestation archive end to end: a fixed-seed
 # retrieval flushed into a fresh archive, a dedup no-op re-ingest, the
-# HTTP query service (files/query/gaps/wav/stats via curl), and a
-# torn-tail recovery after truncating a segment file.
+# HTTP query service (files/query/gaps/wav/stats via curl), a graceful
+# SIGTERM stop whose reopen loads every index snapshot (also part of
+# `check`), and a torn-tail recovery after truncating a segment file.
 archive-smoke:
 	sh scripts/archive_smoke.sh
 

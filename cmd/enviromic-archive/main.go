@@ -12,13 +12,15 @@
 //	curl 'http://localhost:8080/files/1/gaps?tolerance=250ms'
 //	curl -o file1.wav 'http://localhost:8080/files/1/wav'
 //
-// The -http listener also exposes the standard pprof and expvar debug
-// endpoints (/debug/pprof, /debug/vars), mirroring enviromic-sim's -http
-// wiring; archive op counters are published as expvar "archive_stats".
+// The -http listener also serves the store's op counters in Prometheus
+// text format at /metrics and the standard pprof endpoints at
+// /debug/pprof. SIGTERM or SIGINT stops the server gracefully: in-flight
+// requests finish, federation loops stop, and the store closes, writing
+// its index snapshots so the next open replays nothing.
 package main
 
 import (
-	"expvar"
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -26,12 +28,23 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"enviromic/internal/archive"
 	"enviromic/internal/federation"
 	"enviromic/internal/telemetry"
+)
+
+// HTTP server limits. They are fixed, not flags: they bound how long a
+// slow or idle client can hold a connection, not how long a request may
+// run (a large /wav or /repl/delta body streams for as long as it needs).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 30 * time.Second
 )
 
 func main() {
@@ -79,11 +92,7 @@ func main() {
 		AutoCompactBytes: mb(*autoMB),
 		Telemetry:        reg,
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "enviromic-archive: %v\n", err)
-		os.Exit(1)
-	}
-	defer store.Close()
+	exitIf(err)
 
 	st := store.Stats()
 	fmt.Printf("archive %s: %d files, %d chunks, %d payload bytes in %d shards",
@@ -98,29 +107,15 @@ func main() {
 	}
 	if *compact {
 		rep, err := store.Compact()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "enviromic-archive: compact: %v\n", err)
-			os.Exit(1)
-		}
+		exitIf(err)
 		fmt.Printf("compacted %d shards: kept %d chunks, reclaimed %d bytes (%d segment bytes now)\n",
 			rep.Shards, rep.ChunksKept, rep.ReclaimedBytes, rep.SegmentBytesNow)
 	}
 	if *httpAddr == "" {
+		exitIf(store.Close())
 		return
 	}
 
-	expvar.Publish("archive_stats", expvar.Func(func() any { return store.Stats() }))
-	// Flat op counters (ingest.chunks, ingest.duplicates, cache hits,
-	// compact.reclaimed_bytes, ...) plus derived ratios, matching the
-	// enviromic-sim debug endpoint's flat-counter style.
-	expvar.Publish("archive_counters", expvar.Func(func() any { return store.Stats().Counters }))
-	expvar.Publish("archive_cache_hit_ratio", expvar.Func(func() any {
-		c := store.Stats().Cache
-		if c.Hits+c.Misses == 0 {
-			return 0.0
-		}
-		return float64(c.Hits) / float64(c.Hits+c.Misses)
-	}))
 	// The query API is wrapped in per-endpoint metrics (served at
 	// /metrics in Prometheus text format) and, with -access-log, one
 	// structured log line per request.
@@ -129,26 +124,21 @@ func main() {
 		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
 	ln, err := net.Listen("tcp", *httpAddr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "enviromic-archive: %v\n", err)
-		os.Exit(1)
-	}
+	exitIf(err)
 	var api http.Handler
+	var fed *federation.Station
 	endpointOf := archive.EndpointOf
 	if *peersSpec != "" {
 		// Federated: this station answers reads from the whole
 		// federation, replicates from its ring sources, and keeps serving
 		// local writes (/ingest) and replication reads (/repl/*).
 		peers, err := federation.ParsePeers(*peersSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "enviromic-archive: %v\n", err)
-			os.Exit(1)
-		}
+		exitIf(err)
 		self := *station
 		if self == "" {
 			self = ln.Addr().String()
 		}
-		fed, err := federation.New(store, federation.Config{
+		fed, err = federation.New(store, federation.Config{
 			Self:              self,
 			Peers:             peers,
 			ReplicationFactor: *replF,
@@ -158,12 +148,8 @@ func main() {
 			CursorPath:        filepath.Join(*dir, "federation-cursors.json"),
 			Telemetry:         reg,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "enviromic-archive: %v\n", err)
-			os.Exit(1)
-		}
+		exitIf(err)
 		fed.Start()
-		defer fed.Close()
 		api = fed.Handler()
 		endpointOf = federation.EndpointOf
 		fmt.Printf("federation: station %q, %d peers, sources %v\n",
@@ -174,8 +160,33 @@ func main() {
 	api = telemetry.Middleware(reg, endpointOf, api)
 	http.Handle("/", telemetry.AccessLog(logger, api))
 	http.Handle("/metrics", telemetry.Handler(reg))
+	srv := &http.Server{ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGTERM, os.Interrupt)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	fmt.Printf("serving on http://%s (endpoints: /files /query /stats /metrics /debug/pprof)\n", ln.Addr())
-	if err := http.Serve(ln, nil); err != nil {
+
+	select {
+	case err = <-served:
+	case sig := <-stop:
+		fmt.Printf("%v: shutting down\n", sig)
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		err = srv.Shutdown(ctx)
+		cancel()
+	}
+	if fed != nil {
+		fed.Close()
+	}
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
+	exitIf(err)
+}
+
+// exitIf reports err and exits with status 1 when err is non-nil.
+func exitIf(err error) {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "enviromic-archive: %v\n", err)
 		os.Exit(1)
 	}

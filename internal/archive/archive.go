@@ -86,9 +86,9 @@ type Options struct {
 	NoSnapshots bool
 	// Telemetry is the metrics registry the store publishes into
 	// (counters, pipeline histograms, store-size gauges). Nil gives the
-	// store a private registry, so Stats().Counters and Metrics() always
-	// work; pass a shared registry to serve the store's series on a
-	// /metrics endpoint alongside other subsystems.
+	// store a private registry, so Metrics() always works; pass a shared
+	// registry to serve the store's series on a /metrics endpoint
+	// alongside other subsystems.
 	Telemetry *telemetry.Registry
 }
 
@@ -191,15 +191,14 @@ type CacheStats struct {
 
 // Stats is the store-wide snapshot served at /stats.
 type Stats struct {
-	Shards          int              `json:"shards"`
-	Files           int              `json:"files"`
-	Chunks          int              `json:"chunks"`
-	Bytes           int64            `json:"bytes"`            // payload bytes
-	SegmentBytes    int64            `json:"segment_bytes"`    // on-disk bytes including framing
-	RecoveredBytes  int64            `json:"recovered_bytes"`  // torn tail bytes dropped at open
-	SupersededBytes int64            `json:"superseded_bytes"` // dead frame bytes reclaimable by compaction
-	Cache           CacheStats       `json:"cache"`
-	Counters        map[string]int64 `json:"counters"`
+	Shards          int        `json:"shards"`
+	Files           int        `json:"files"`
+	Chunks          int        `json:"chunks"`
+	Bytes           int64      `json:"bytes"`            // payload bytes
+	SegmentBytes    int64      `json:"segment_bytes"`    // on-disk bytes including framing
+	RecoveredBytes  int64      `json:"recovered_bytes"`  // torn tail bytes dropped at open
+	SupersededBytes int64      `json:"superseded_bytes"` // dead frame bytes reclaimable by compaction
+	Cache           CacheStats `json:"cache"`
 }
 
 // Store is the persistent chunk archive. All methods are safe for
@@ -225,12 +224,8 @@ type Store struct {
 	gens       []uint64
 	committed  []int64
 
-	// reg is the telemetry registry every store counter lives in; legacy
-	// maps each counter back to its historical dotted name, which is what
-	// Stats().Counters (and the expvar shim in cmd/enviromic-archive)
-	// still serve.
+	// reg is the telemetry registry every store counter lives in.
 	reg         *telemetry.Registry
-	legacy      []legacyCounter
 	cBatches    *telemetry.Counter
 	cIngested   *telemetry.Counter
 	cDups       *telemetry.Counter
@@ -241,13 +236,6 @@ type Store struct {
 	cCacheMiss  *telemetry.Counter
 	cFlightWin  *telemetry.Counter
 	cFlightJoin *telemetry.Counter
-}
-
-// legacyCounter pairs a telemetry counter with the dotted name the
-// archive's original expvar counter group used.
-type legacyCounter struct {
-	name string
-	c    *telemetry.Counter
 }
 
 // Open opens the archive at dir, creating it (and the directory) if
@@ -265,8 +253,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	reg := opts.Telemetry
 	if reg == nil {
-		// A private registry keeps Stats().Counters and Metrics() working
-		// for embedded stores that never mount /metrics.
+		// A private registry keeps Metrics() working for embedded stores
+		// that never mount /metrics.
 		reg = telemetry.NewRegistry()
 	}
 	s := &Store{
@@ -275,33 +263,25 @@ func Open(dir string, opts Options) (*Store, error) {
 		cache: newFileCache(opts.CacheBytes),
 		reg:   reg,
 	}
-	// counter registers one store counter under its Prometheus name while
-	// remembering the dotted name the original expvar counter group used —
-	// Stats().Counters still serves the legacy names.
-	counter := func(legacy, name, help string) *telemetry.Counter {
-		c := reg.Counter(name, help)
-		s.legacy = append(s.legacy, legacyCounter{name: legacy, c: c})
-		return c
-	}
-	s.cBatches = counter("ingest.batches", "enviromic_archive_ingest_batches_total",
+	s.cBatches = reg.Counter("enviromic_archive_ingest_batches_total",
 		"Ingest batches submitted to the store.")
-	s.cIngested = counter("ingest.chunks", "enviromic_archive_ingest_chunks_total",
+	s.cIngested = reg.Counter("enviromic_archive_ingest_chunks_total",
 		"Chunks appended by ingest.")
-	s.cDups = counter("ingest.duplicates", "enviromic_archive_ingest_duplicates_total",
+	s.cDups = reg.Counter("enviromic_archive_ingest_duplicates_total",
 		"Chunks skipped by ingest as duplicates.")
-	s.cSuper = counter("ingest.superseded", "enviromic_archive_ingest_superseded_total",
+	s.cSuper = reg.Counter("enviromic_archive_ingest_superseded_total",
 		"Archived chunks replaced by longer copies.")
-	s.cQueries = counter("query.count", "enviromic_archive_queries_total",
+	s.cQueries = reg.Counter("enviromic_archive_queries_total",
 		"Interval-index queries served.")
-	s.cReads = counter("file.reassemblies", "enviromic_archive_reassemblies_total",
+	s.cReads = reg.Counter("enviromic_archive_reassemblies_total",
 		"File reassemblies performed (cache misses that did the work).")
-	s.cCacheHit = counter("cache.hits", "enviromic_archive_cache_hits_total",
+	s.cCacheHit = reg.Counter("enviromic_archive_cache_hits_total",
 		"Reassembly cache hits.")
-	s.cCacheMiss = counter("cache.misses", "enviromic_archive_cache_misses_total",
+	s.cCacheMiss = reg.Counter("enviromic_archive_cache_misses_total",
 		"Reassembly cache misses.")
-	s.cFlightWin = counter("flight.leads", "enviromic_archive_flight_leads_total",
+	s.cFlightWin = reg.Counter("enviromic_archive_flight_leads_total",
 		"Singleflight reassemblies led.")
-	s.cFlightJoin = counter("flight.joins", "enviromic_archive_flight_joins_total",
+	s.cFlightJoin = reg.Counter("enviromic_archive_flight_joins_total",
 		"Singleflight reassemblies coalesced onto a leader.")
 	s.env = &shardEnv{
 		gapTolerance:    opts.GapTolerance,
@@ -309,23 +289,23 @@ func Open(dir string, opts Options) (*Store, error) {
 		noSnapshots:     opts.NoSnapshots,
 		checkpointBytes: opts.CheckpointBytes,
 		autoCompact:     opts.AutoCompactBytes,
-		cGroups: counter("ingest.groups", "enviromic_archive_group_commits_total",
+		cGroups: reg.Counter("enviromic_archive_group_commits_total",
 			"Group commits performed by shard writers."),
-		cGroupSyncs: counter("ingest.group_syncs", "enviromic_archive_group_syncs_total",
+		cGroupSyncs: reg.Counter("enviromic_archive_group_syncs_total",
 			"Group commits that fsynced the segment (SyncOnIngest)."),
-		cSnapLoads: counter("open.snapshot_loads", "enviromic_archive_snapshot_loads_total",
+		cSnapLoads: reg.Counter("enviromic_archive_snapshot_loads_total",
 			"Shards opened from an index snapshot."),
-		cSnapFallbacks: counter("open.snapshot_fallbacks", "enviromic_archive_snapshot_fallbacks_total",
+		cSnapFallbacks: reg.Counter("enviromic_archive_snapshot_fallbacks_total",
 			"Shards whose snapshot was unusable, forcing a full scan."),
-		cReplayed: counter("open.replayed_chunks", "enviromic_archive_replayed_chunks_total",
+		cReplayed: reg.Counter("enviromic_archive_replayed_chunks_total",
 			"Chunks replayed from segment tails past their snapshots."),
-		cCheckpoints: counter("checkpoint.writes", "enviromic_archive_checkpoint_writes_total",
+		cCheckpoints: reg.Counter("enviromic_archive_checkpoint_writes_total",
 			"Index snapshot checkpoints written."),
-		cCheckpointBytes: counter("checkpoint.bytes", "enviromic_archive_checkpoint_bytes_total",
+		cCheckpointBytes: reg.Counter("enviromic_archive_checkpoint_bytes_total",
 			"Bytes of index snapshots written."),
-		cCompactions: counter("compact.runs", "enviromic_archive_compactions_total",
+		cCompactions: reg.Counter("enviromic_archive_compactions_total",
 			"Segment compactions run."),
-		cReclaimed: counter("compact.reclaimed_bytes", "enviromic_archive_compact_reclaimed_bytes_total",
+		cReclaimed: reg.Counter("enviromic_archive_compact_reclaimed_bytes_total",
 			"Dead frame bytes reclaimed by compaction."),
 		hGroupBatch: reg.Histogram("enviromic_archive_group_commit_batch_size",
 			"Submissions absorbed per group commit.",
@@ -363,8 +343,8 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // registerGauges publishes scrape-time store totals: sizes straight off
-// the shard indexes, and the reassembly cache's hit ratio as a proper
-// gauge (the old expvar shim served it as a formatted string). When two
+// the shard indexes, and the reassembly cache's hit ratio from the same
+// hit and miss counters /metrics and /stats serve. When two
 // stores share one registry the first store's functions win — mount
 // shared registries one store per process.
 func (s *Store) registerGauges(reg *telemetry.Registry) {
@@ -386,9 +366,9 @@ func (s *Store) registerGauges(reg *telemetry.Registry) {
 	reg.GaugeFunc("enviromic_archive_cache_hit_ratio",
 		"Reassembly cache hit ratio since open (0 when unused).",
 		func() float64 {
-			cs := s.cache.stats()
-			if lookups := cs.Hits + cs.Misses; lookups > 0 {
-				return float64(cs.Hits) / float64(lookups)
+			hits, misses := s.cCacheHit.Value(), s.cCacheMiss.Value()
+			if lookups := hits + misses; lookups > 0 {
+				return float64(hits) / float64(lookups)
 			}
 			return 0
 		})
@@ -612,72 +592,35 @@ func (s *Store) Gaps(id flash.FileID, tolerance time.Duration) ([]Gap, error) {
 // not mutate it.
 func (s *Store) File(id flash.FileID) (*retrieval.File, error) {
 	sh := s.shardFor(id)
-	for attempt := 0; ; attempt++ {
-		// Probe the cache on version alone before copying the chunk-meta
-		// slice — the warm path never needs the offsets.
-		v0, ok := sh.version(id)
-		if !ok {
-			return nil, ErrNotFound
-		}
-		if f, v, hit := s.cache.get(id); hit && v == v0 {
-			s.cCacheHit.Inc()
-			return f, nil
-		}
-		metas, version, epoch, ok := sh.fileChunks(id)
-		if !ok {
-			return nil, ErrNotFound
-		}
-		s.cCacheMiss.Inc()
-		f, err, joined := s.flight.do(flightKey{id: id, version: version}, func() (*retrieval.File, error) {
-			s.cReads.Inc()
-			return s.reassemble(sh, id, version, metas, epoch)
-		})
-		if joined {
-			s.cFlightJoin.Inc()
-		} else {
-			s.cFlightWin.Inc()
-		}
-		if errors.Is(err, errEpochChanged) {
-			if attempt < 4 {
-				continue // a compaction swapped the segment mid-read; refetch offsets
-			}
-			// Compactions keep invalidating the optimistic read. Fall back
-			// to running it on the shard's writer goroutine: compaction
-			// runs there too, so the offsets cannot be swapped between the
-			// metadata fetch and the payload read. The result is validated
-			// the same way (readChunks re-checks the epoch under the read
-			// lock) — errEpochChanged never escapes to callers.
-			return s.fileSerialized(sh, id)
-		}
-		return f, err
+	// Probe the cache on version alone — the warm path never touches the
+	// chunk index or the segment.
+	v, ok := sh.version(id)
+	if !ok {
+		return nil, ErrNotFound
 	}
-}
-
-// fileSerialized reassembles a file on the shard's writer goroutine,
-// where no compaction can run concurrently. Slow path for reads racing
-// a compaction storm.
-func (s *Store) fileSerialized(sh *shard, id flash.FileID) (*retrieval.File, error) {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return nil, errClosed
+	if f, cv, hit := s.cache.get(id); hit && cv == v {
+		s.cCacheHit.Inc()
+		return f, nil
 	}
-	var f *retrieval.File
-	var err error
-	sh.runCtl(func() {
-		metas, version, epoch, ok := sh.fileChunks(id)
-		if !ok {
-			err = ErrNotFound
-			return
-		}
-		if cached, v, hit := s.cache.get(id); hit && v == version {
-			s.cCacheHit.Inc()
-			f = cached
-			return
-		}
+	s.cCacheMiss.Inc()
+	f, err, joined := s.flight.do(flightKey{id: id, version: v}, func() (*retrieval.File, error) {
 		s.cReads.Inc()
-		f, err = s.reassemble(sh, id, version, metas, epoch)
+		chunks, version, err := sh.readFile(id)
+		if err != nil {
+			return nil, err
+		}
+		f := retrieval.Reassemble(map[int][]*flash.Chunk{0: chunks}, retrieval.Query{All: true})[id]
+		if f == nil {
+			return nil, ErrNotFound
+		}
+		s.cache.put(id, version, f)
+		return f, nil
 	})
+	if joined {
+		s.cFlightJoin.Inc()
+	} else {
+		s.cFlightWin.Inc()
+	}
 	return f, err
 }
 
@@ -707,33 +650,16 @@ func (s *Store) FileErasure(id flash.FileID) (*retrieval.File, retrieval.DecodeR
 	return f, rep, nil
 }
 
-// reassemble reads the file's chunks and rebuilds it, caching the result.
-func (s *Store) reassemble(sh *shard, id flash.FileID, version uint64, metas []chunkMeta, epoch uint64) (*retrieval.File, error) {
-	chunks, err := sh.readChunks(metas, epoch)
-	if err != nil {
-		return nil, err
-	}
-	f := retrieval.Reassemble(map[int][]*flash.Chunk{0: chunks}, retrieval.Query{All: true})[id]
-	if f == nil {
-		return nil, ErrNotFound
-	}
-	s.cache.put(id, version, f)
-	return f, nil
-}
-
 // GapTolerance returns the store's default gap tolerance.
 func (s *Store) GapTolerance() time.Duration { return s.opts.GapTolerance }
 
-// Stats snapshots store-wide totals and op counters. Counters keep their
-// historical dotted names (the registry serves the same values under
-// Prometheus names).
+// Stats snapshots store-wide totals and the reassembly cache. Op
+// counters live only in the registry (Metrics).
 func (s *Store) Stats() Stats {
 	st := s.totals()
-	st.Counters = make(map[string]int64, len(s.legacy))
-	for _, lc := range s.legacy {
-		st.Counters[lc.name] = lc.c.Value()
-	}
 	st.Cache = s.cache.stats()
+	st.Cache.Hits = s.cCacheHit.Value()
+	st.Cache.Misses = s.cCacheMiss.Value()
 	return st
 }
 

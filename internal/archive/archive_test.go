@@ -35,6 +35,10 @@ func openTest(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
+// counterValue reads one store counter from its registry by Prometheus
+// name.
+func counterValue(s *Store, name string) int64 { return s.Metrics().Counter(name, "").Value() }
+
 func mustIngest(t *testing.T, s *Store, chunks []*flash.Chunk) IngestReport {
 	t.Helper()
 	rep, err := s.Ingest(chunks)
@@ -131,9 +135,9 @@ func TestIngestDedupsAcrossToursAndBatches(t *testing.T) {
 	if fi, _ := s.Info(1); fi.Chunks != 2 {
 		t.Fatalf("chunks after repeat = %d, want 2", fi.Chunks)
 	}
-	st := s.Stats()
-	if st.Counters["ingest.duplicates"] != 4 || st.Counters["ingest.chunks"] != 2 {
-		t.Fatalf("counters = %v", st.Counters)
+	dups, added := counterValue(s, "enviromic_archive_ingest_duplicates_total"), counterValue(s, "enviromic_archive_ingest_chunks_total")
+	if dups != 4 || added != 2 {
+		t.Fatalf("duplicates = %d, chunks = %d, want 4 and 2", dups, added)
 	}
 }
 

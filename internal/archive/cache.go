@@ -20,7 +20,9 @@ type fileCache struct {
 	ll       *list.List // front = most recent
 	items    map[flash.FileID]*list.Element
 
-	hits, misses, evictions int64
+	// evictions is the cache's only counter: hits and misses are counted
+	// by Store.File, which alone knows whether an entry's version is live.
+	evictions int64
 }
 
 type cacheEntry struct {
@@ -51,10 +53,8 @@ func (fc *fileCache) get(id flash.FileID) (*retrieval.File, uint64, bool) {
 	defer fc.mu.Unlock()
 	el, ok := fc.items[id]
 	if !ok {
-		fc.misses++
 		return nil, 0, false
 	}
-	fc.hits++
 	fc.ll.MoveToFront(el)
 	e := el.Value.(*cacheEntry)
 	return e.f, e.version, true
@@ -101,15 +101,14 @@ func (fc *fileCache) removeLocked(el *list.Element) {
 	fc.bytes -= e.bytes
 }
 
-// stats snapshots the cache.
+// stats snapshots the cache's occupancy and evictions (Hits and Misses
+// are left for the store to fill in).
 func (fc *fileCache) stats() CacheStats {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	return CacheStats{
 		Entries:   fc.ll.Len(),
 		Bytes:     fc.bytes,
-		Hits:      fc.hits,
-		Misses:    fc.misses,
 		Evictions: fc.evictions,
 	}
 }

@@ -23,8 +23,8 @@ import (
 //     manifest: any future snapshot stamped with the old gen is rejected
 //     into a rescan of the old segment, which is still the live data
 //  5. atomically rename temp over the segment + fsync the dir [hook: seg-renamed]
-//  6. swap in-memory state under the write lock (new fd, new offsets,
-//     epoch bump) — pure memory, cannot fail
+//  6. swap in-memory state under the write lock (new fd, new offsets)
+//     — pure memory, cannot fail
 //  7. write a fresh snapshot stamped with the new generation  [hook: snapshot-written]
 //
 // Every hook error models a kill at that boundary: the test reopens the
@@ -35,6 +35,9 @@ import (
 // safe open path is the scan, and a snapshot written now could mask that.
 // Compaction runs on the shard's writer goroutine, so no append is in
 // flight; queries proceed against the old segment until the step-6 swap.
+// A reader holds the read lock across its offset lookup and its payload
+// reads (shard.readFile), so it sees either the old handle with the old
+// offsets or the new handle with the new ones, never a mix.
 
 // compactSuffix names the compaction temp file next to the segment.
 const compactSuffix = ".compact"
@@ -206,7 +209,6 @@ func (sh *shard) compact() (kept int, reclaimed int64, err error) {
 	sh.f = tmp
 	sh.size = writePos
 	sh.gen = newGen
-	sh.epoch++
 	sh.supersededBytes = 0
 	if sh.unverifiedTo > 0 {
 		// Live frames were copied verbatim, not re-verified; with offsets

@@ -193,11 +193,11 @@ func TestCompactionBreaksCheckpointsAfterLateFailure(t *testing.T) {
 	if !s.shards[0].checkpointsBroken {
 		t.Fatalf("late compaction failure did not break checkpoints")
 	}
-	before := s.Stats().Counters["checkpoint.writes"]
+	before := counterValue(s, "enviromic_archive_checkpoint_writes_total")
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	if after := s.Stats().Counters["checkpoint.writes"]; after != before {
+	if after := counterValue(s, "enviromic_archive_checkpoint_writes_total"); after != before {
 		t.Fatalf("broken shard still wrote a checkpoint")
 	}
 }
@@ -209,7 +209,7 @@ func TestAutoCompaction(t *testing.T) {
 	defer s.Close()
 	supersedeWorkload(t, s, 2, 20) // ~40 dead frames ≫ 1 KiB
 	st := s.Stats()
-	if st.Counters["compact.runs"] == 0 {
+	if counterValue(s, "enviromic_archive_compactions_total") == 0 {
 		t.Fatalf("no auto compaction ran; superseded=%d", st.SupersededBytes)
 	}
 	if st.SupersededBytes != 0 {
@@ -341,14 +341,16 @@ func TestFlightHerdOnStore(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	c := s.Stats().Counters
-	if c["flight.leads"]+c["flight.joins"] != n {
-		t.Fatalf("leads %d + joins %d != %d", c["flight.leads"], c["flight.joins"], n)
+	leads := counterValue(s, "enviromic_archive_flight_leads_total")
+	joins := counterValue(s, "enviromic_archive_flight_joins_total")
+	reads := counterValue(s, "enviromic_archive_reassemblies_total")
+	if leads+joins != n {
+		t.Fatalf("leads %d + joins %d != %d", leads, joins, n)
 	}
-	if c["file.reassemblies"] != c["flight.leads"] {
-		t.Fatalf("reassemblies %d != flight leads %d", c["file.reassemblies"], c["flight.leads"])
+	if reads != leads {
+		t.Fatalf("reassemblies %d != flight leads %d", reads, leads)
 	}
-	if c["flight.leads"] == n {
+	if leads == n {
 		t.Logf("herd fully serialized (no joins); timing-dependent, not failing")
 	}
 }

@@ -132,35 +132,3 @@ func TestQueryConcurrentWithCompact(t *testing.T) {
 		t.Fatalf("no compaction ran; test exercised nothing")
 	}
 }
-
-// TestFileSerializedFallback exercises the slow path Store.File falls
-// back to when compactions keep invalidating the optimistic read: the
-// writer-goroutine read must return the same file and never leak the
-// internal epoch error.
-func TestFileSerializedFallback(t *testing.T) {
-	s := openTest(t, t.TempDir(), Options{Shards: 1, CacheBytes: -1})
-	defer s.Close()
-	mustIngest(t, s, []*flash.Chunk{
-		mkChunk(1, 2, 0, 0, 1),
-		mkChunk(1, 2, 1, 1, 2),
-	})
-	want, err := s.File(1)
-	if err != nil {
-		t.Fatalf("File: %v", err)
-	}
-	got, err := s.fileSerialized(s.shardFor(1), 1)
-	if err != nil {
-		t.Fatalf("fileSerialized: %v", err)
-	}
-	if len(got.Chunks) != len(want.Chunks) {
-		t.Fatalf("fileSerialized chunks = %d, want %d", len(got.Chunks), len(want.Chunks))
-	}
-	for i := range got.Chunks {
-		if got.Chunks[i].Seq != want.Chunks[i].Seq || string(got.Chunks[i].Data) != string(want.Chunks[i].Data) {
-			t.Fatalf("fileSerialized chunk %d differs from File", i)
-		}
-	}
-	if _, err := s.fileSerialized(s.shardFor(99), 99); err != ErrNotFound {
-		t.Fatalf("fileSerialized(unknown) err = %v, want ErrNotFound", err)
-	}
-}

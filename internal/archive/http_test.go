@@ -221,14 +221,14 @@ func TestHTTPIngest(t *testing.T) {
 }
 
 func TestHTTPStats(t *testing.T) {
-	_, srv := newTestServer(t)
+	s, srv := newTestServer(t)
 	var st Stats
 	getJSON(t, srv.URL+"/stats", &st)
 	if st.Files != 2 || st.Chunks != 5 || st.Shards != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.Counters["ingest.chunks"] != 5 {
-		t.Fatalf("counters = %v", st.Counters)
+	if n := counterValue(s, "enviromic_archive_ingest_chunks_total"); n != 5 {
+		t.Fatalf("ingest chunks counter = %d, want 5", n)
 	}
 }
 

@@ -172,10 +172,6 @@ type shard struct {
 	mu   sync.RWMutex
 	f    *os.File
 	size int64
-	// epoch is bumped whenever the segment file or chunk offsets are
-	// swapped (compaction); readers holding stale chunkMeta copies check
-	// it before trusting offsets.
-	epoch uint64
 	// files is the primary index; byOrigin and the byStart/prefixMaxEnd
 	// pair are secondary indexes maintained on ingest.
 	files    map[flash.FileID]*fileMeta
@@ -445,21 +441,6 @@ func intersects(have map[int32]struct{}, want map[int32]bool) bool {
 	return false
 }
 
-// fileChunks returns a copy of the file's chunk metadata, its cache
-// version, and the segment epoch the offsets are valid for; ok is false
-// for unknown files.
-func (sh *shard) fileChunks(id flash.FileID) (metas []chunkMeta, version, epoch uint64, ok bool) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	fm := sh.files[id]
-	if fm == nil {
-		return nil, 0, 0, false
-	}
-	metas = make([]chunkMeta, len(fm.chunks))
-	copy(metas, fm.chunks)
-	return metas, fm.version, sh.epoch, true
-}
-
 // version returns the file's cache version (ok=false for unknown files).
 func (sh *shard) version(id flash.FileID) (uint64, bool) {
 	sh.mu.RLock()
@@ -483,16 +464,14 @@ func (sh *shard) gaps(id flash.FileID, tolerance time.Duration) ([]Gap, bool) {
 	return gapsIn(fm.chunks, tolerance), true
 }
 
-// errEpochChanged reports that a compaction swapped the segment between a
-// fileChunks metadata fetch and the payload read; the caller refetches
-// and retries.
-var errEpochChanged = fmt.Errorf("archive: segment swapped mid-read")
-
-// readChunks fetches every chunk in metas from the segment. The read
-// lock pins the file handle and epoch: frames are immutable under
-// concurrent appends, and a compaction that replaced the segment since
-// the metadata was fetched is detected by the epoch check instead of
-// returning bytes from the wrong offsets.
+// readFile reads every chunk of the file from the segment and returns
+// them with the file's cache version; ErrNotFound for unknown files. The
+// index lookup and the payload reads share one read lock, which is the
+// archive's whole read-consistency argument: every mutation of the file
+// handle, the chunk offsets and the version — group-commit publish and
+// the compaction swap alike — takes the write lock, so the offsets read
+// here are valid for the handle read here, and frames below sh.size are
+// immutable under concurrent appends.
 //
 // Frames that sit near each other on disk — the common case, since a
 // tour's chunks land in a handful of group commits — are coalesced into
@@ -504,12 +483,14 @@ var errEpochChanged = fmt.Errorf("archive: segment swapped mid-read")
 // Frames below unverifiedTo were indexed from a snapshot and have never
 // been CRC-checked; they are verified here, on first touch — read time
 // is where corruption under a snapshot surfaces.
-func (sh *shard) readChunks(metas []chunkMeta, epoch uint64) ([]*flash.Chunk, error) {
+func (sh *shard) readFile(id flash.FileID) ([]*flash.Chunk, uint64, error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.epoch != epoch {
-		return nil, errEpochChanged
+	fm := sh.files[id]
+	if fm == nil {
+		return nil, 0, ErrNotFound
 	}
+	metas := fm.chunks
 	// Visit frames in disk order (supersession and compaction can leave a
 	// file's chunks out of offset order) without reordering the output.
 	order := make([]int, len(metas))
@@ -539,7 +520,7 @@ func (sh *shard) readChunks(metas []chunkMeta, epoch uint64) ([]*flash.Chunk, er
 		}
 		buf := make([]byte, runEnd-runStart)
 		if _, err := sh.f.ReadAt(buf, runStart); err != nil {
-			return nil, fmt.Errorf("archive: reading chunks at %d: %w", runStart, err)
+			return nil, 0, fmt.Errorf("archive: reading chunks at %d: %w", runStart, err)
 		}
 		for k := i; k < j; k++ {
 			m := metas[order[k]]
@@ -548,18 +529,18 @@ func (sh *shard) readChunks(metas []chunkMeta, epoch uint64) ([]*flash.Chunk, er
 				hdr := buf[m.offset-frameHeaderSize-runStart:]
 				if int32(binary.BigEndian.Uint32(hdr)) != m.length ||
 					crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
-					return nil, fmt.Errorf("archive: chunk at %d failed CRC (segment corrupted)", m.offset)
+					return nil, 0, fmt.Errorf("archive: chunk at %d failed CRC (segment corrupted)", m.offset)
 				}
 			}
 			c, n, err := flash.DecodeRecord(payload)
 			if err != nil || n != len(payload) {
-				return nil, fmt.Errorf("archive: decoding chunk at %d: %v", m.offset, err)
+				return nil, 0, fmt.Errorf("archive: decoding chunk at %d: %v", m.offset, err)
 			}
 			out[order[k]] = c
 		}
 		i = j
 	}
-	return out, nil
+	return out, fm.version, nil
 }
 
 // stats snapshots shard-level totals.

@@ -173,7 +173,7 @@ func TestConcurrentIngestSameKeys(t *testing.T) {
 	if st.Chunks != 6*25 {
 		t.Fatalf("chunks = %d, want %d (dedup must hold under races)", st.Chunks, 6*25)
 	}
-	if got := st.Counters["ingest.chunks"] + st.Counters["ingest.duplicates"]; got != 6*6*25 {
+	if got := counterValue(s, "enviromic_archive_ingest_chunks_total") + counterValue(s, "enviromic_archive_ingest_duplicates_total"); got != 6*6*25 {
 		t.Fatalf("accounting: added+dups = %d, want %d", got, 6*6*25)
 	}
 }

@@ -72,7 +72,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	snap := openTest(t, dir, Options{})
 	got := storeFingerprint(t, snap)
-	loads := snap.Stats().Counters["open.snapshot_loads"]
+	loads := counterValue(snap, "enviromic_archive_snapshot_loads_total")
 	snap.Close()
 	if loads != 4 {
 		t.Fatalf("snapshot_loads = %d, want 4", loads)
@@ -86,7 +86,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := storeFingerprint(t, rescan); got != want {
 		t.Fatalf("rescan store differs from snapshot store")
 	}
-	if n := rescan.Stats().Counters["open.snapshot_loads"]; n != 0 {
+	if n := counterValue(rescan, "enviromic_archive_snapshot_loads_total"); n != 0 {
 		t.Fatalf("NoSnapshots open loaded a snapshot (%d)", n)
 	}
 }
@@ -109,12 +109,11 @@ func TestSnapshotTailReplay(t *testing.T) {
 
 	s2 := openTest(t, dir, Options{})
 	defer s2.Close()
-	st := s2.Stats()
-	if st.Counters["open.snapshot_loads"] != 2 {
-		t.Fatalf("snapshot_loads = %d, want 2", st.Counters["open.snapshot_loads"])
+	if n := counterValue(s2, "enviromic_archive_snapshot_loads_total"); n != 2 {
+		t.Fatalf("snapshot_loads = %d, want 2", n)
 	}
-	if st.Counters["open.replayed_chunks"] != 2 {
-		t.Fatalf("replayed_chunks = %d, want 2", st.Counters["open.replayed_chunks"])
+	if n := counterValue(s2, "enviromic_archive_replayed_chunks_total"); n != 2 {
+		t.Fatalf("replayed_chunks = %d, want 2", n)
 	}
 	if got := storeFingerprint(t, s2); got != want {
 		t.Fatalf("replayed store differs from pre-crash store")
@@ -143,7 +142,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 			t.Fatalf("write snapshot: %v", err)
 		}
 		s2 := openTest(t, dir, Options{})
-		if n := s2.Stats().Counters["open.snapshot_fallbacks"]; n != 1 {
+		if n := counterValue(s2, "enviromic_archive_snapshot_fallbacks_total"); n != 1 {
 			t.Fatalf("offset %d: snapshot_fallbacks = %d, want 1", off, n)
 		}
 		if got := storeFingerprint(t, s2); got != want {
@@ -162,7 +161,7 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	// Ingest replies before the writer's checkpoint check runs; a ctl
 	// round-trip waits out the writer's current loop iteration.
 	s.shards[0].runCtl(func() {})
-	if n := s.Stats().Counters["checkpoint.writes"]; n == 0 {
+	if n := counterValue(s, "enviromic_archive_checkpoint_writes_total"); n == 0 {
 		t.Fatalf("no periodic checkpoint after %d bytes", s.Stats().SegmentBytes)
 	}
 	want := storeFingerprint(t, s)
@@ -170,7 +169,7 @@ func TestPeriodicCheckpoint(t *testing.T) {
 
 	s2 := openTest(t, dir, Options{})
 	defer s2.Close()
-	if n := s2.Stats().Counters["open.snapshot_loads"]; n != 1 {
+	if n := counterValue(s2, "enviromic_archive_snapshot_loads_total"); n != 1 {
 		t.Fatalf("snapshot_loads = %d, want 1", n)
 	}
 	if got := storeFingerprint(t, s2); got != want {

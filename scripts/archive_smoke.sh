@@ -8,7 +8,11 @@
 #   4. serve the archive over HTTP and exercise /files, /query,
 #      /files/{id}/gaps, /files/{id}/wav (must be a non-trivial RIFF
 #      payload), and /stats with curl,
-#   5. tear the tail off one segment file and reopen: recovery must
+#   5. POST one /ingest batch to a server on a fresh archive, stop it
+#      with SIGTERM, and reopen: the graceful stop must have written every
+#      shard's index snapshot, so the reopen loads all of them and
+#      replays no segment tail,
+#   6. tear the tail off one segment file and reopen: recovery must
 #      drop the torn bytes and keep serving the surviving chunks.
 # Exits non-zero on the first failure. Usage: scripts/archive_smoke.sh
 set -e
@@ -18,7 +22,9 @@ tmp="${TMPDIR:-/tmp}/enviromic-archive-smoke.$$"
 mkdir -p "$tmp"
 server_pid=""
 cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2> /dev/null || true
+    # The server stops gracefully on SIGTERM, writing its index
+    # snapshots; let it finish before removing its directory.
+    [ -n "$server_pid" ] && kill "$server_pid" 2> /dev/null && wait "$server_pid" 2> /dev/null || true
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
@@ -27,6 +33,31 @@ trap cleanup EXIT INT TERM
 # (go run would leave an orphaned grandchild behind).
 go build -o "$tmp/retrieve" ./cmd/enviromic-retrieve
 go build -o "$tmp/archive" ./cmd/enviromic-archive
+
+# start_server <dir> <log> [flags...]: serve the archive in <dir> on a
+# free loopback port, logging to <log>; sets server_pid and base.
+start_server() {
+    dir=$1 log=$2
+    shift 2
+    "$tmp/archive" -dir "$dir" -http 127.0.0.1:0 "$@" > "$log" 2>&1 &
+    server_pid=$!
+    base=""
+    for _ in $(seq 1 50); do
+        base=$(sed -n 's|serving on \(http://[0-9.:]*\) .*|\1|p' "$log")
+        [ -n "$base" ] && return 0
+        kill -0 "$server_pid" 2> /dev/null || {
+            echo "FAIL: server exited early"; cat "$log"; exit 1; }
+        sleep 0.1
+    done
+    echo "FAIL: server never announced its address"; exit 1
+}
+
+# stop_server: SIGTERM the server and require a clean exit.
+stop_server() {
+    kill -TERM "$server_pid"
+    wait "$server_pid" || { echo "FAIL: server exited $? on SIGTERM"; exit 1; }
+    server_pid=""
+}
 
 echo "== 1. fixed-seed retrieval flushed into a fresh archive"
 "$tmp/retrieve" -duration 2m -seed 7 -archive "$tmp/store" > "$tmp/run1.out"
@@ -53,17 +84,7 @@ grep -Eq 'archive .*: [1-9][0-9]* files' "$tmp/ls.out" || {
     echo "FAIL: -ls printed no summary"; exit 1; }
 
 echo "== 4. HTTP query service"
-"$tmp/archive" -dir "$tmp/store" -http 127.0.0.1:0 > "$tmp/server.out" 2>&1 &
-server_pid=$!
-base=""
-for _ in $(seq 1 50); do
-    base=$(sed -n 's|serving on \(http://[0-9.:]*\) .*|\1|p' "$tmp/server.out")
-    [ -n "$base" ] && break
-    kill -0 "$server_pid" 2> /dev/null || {
-        echo "FAIL: server exited early"; cat "$tmp/server.out"; exit 1; }
-    sleep 0.1
-done
-[ -n "$base" ] || { echo "FAIL: server never announced its address"; exit 1; }
+start_server "$tmp/store" "$tmp/server.out"
 
 curl -fsS "$base/files" > "$tmp/files.json"
 grep -q '"id"' "$tmp/files.json" || {
@@ -89,10 +110,25 @@ curl -fsS "$base/stats" > "$tmp/stats.json"
 grep -q '"chunks"' "$tmp/stats.json" || {
     echo "FAIL: /stats malformed"; exit 1; }
 
-kill "$server_pid" && wait "$server_pid" 2> /dev/null || true
-server_pid=""
+# One replication batch is a ready-made /ingest body for step 5.
+curl -fsS "$base/repl/delta?max=65536" > "$tmp/batch.frames"
+stop_server
 
-echo "== 5. torn-tail recovery"
+echo "== 5. graceful stop writes every shard's index snapshot"
+start_server "$tmp/fresh" "$tmp/fresh.out" -shards 4
+curl -fsS --data-binary @"$tmp/batch.frames" "$base/ingest" > "$tmp/ingest.json"
+grep -Eq '"added": [1-9]' "$tmp/ingest.json" || {
+    echo "FAIL: /ingest into a fresh archive added nothing"; exit 1; }
+stop_server
+start_server "$tmp/fresh" "$tmp/fresh2.out"
+curl -fsS "$base/metrics" > "$tmp/metrics.txt"
+stop_server
+loads=$(sed -n 's/^enviromic_archive_snapshot_loads_total \([0-9]*\)$/\1/p' "$tmp/metrics.txt")
+replayed=$(sed -n 's/^enviromic_archive_replayed_chunks_total \([0-9]*\)$/\1/p' "$tmp/metrics.txt")
+[ "$loads" = 4 ] && [ "$replayed" = 0 ] || {
+    echo "FAIL: reopen after SIGTERM loaded $loads of 4 snapshots, replayed $replayed chunks"; exit 1; }
+
+echo "== 6. torn-tail recovery"
 seg=$(ls -S "$tmp/store"/shard-*.seg | head -1)
 truncate -s -5 "$seg"
 "$tmp/archive" -dir "$tmp/store" -ls > "$tmp/recovered.out"

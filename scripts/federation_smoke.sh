@@ -26,6 +26,9 @@ mkdir -p "$tmp"
 pids=""
 cleanup() {
     for p in $pids; do kill "$p" 2> /dev/null || true; done
+    # Stations stop gracefully on SIGTERM, writing index snapshots and
+    # replication cursors; let them finish before removing their dirs.
+    for p in $pids; do wait "$p" 2> /dev/null || true; done
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM

@@ -21,7 +21,9 @@ sim_pid=""
 server_pid=""
 cleanup() {
     [ -n "$sim_pid" ] && kill "$sim_pid" 2> /dev/null || true
-    [ -n "$server_pid" ] && kill "$server_pid" 2> /dev/null || true
+    # The server stops gracefully on SIGTERM, writing its index
+    # snapshots; let it finish before removing its directory.
+    [ -n "$server_pid" ] && kill "$server_pid" 2> /dev/null && wait "$server_pid" 2> /dev/null || true
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
