@@ -96,7 +96,7 @@ bench-archive:
 # federation-smoke boots a 3-station federated cluster (also part of
 # `check`): split city tours vs a single-station reference, byte-for-
 # byte federated read diffs, one station killed and rejoined (cursor
-# catch-up), and the federated query storm into BENCH_federation.json.
+# catch-up), and a federated query storm that must finish error-free.
 federation-smoke:
 	sh scripts/federation_smoke.sh
 

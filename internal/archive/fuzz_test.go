@@ -2,6 +2,8 @@ package archive
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -78,4 +80,88 @@ func FuzzParseReplCursor(f *testing.F) {
 			t.Fatalf("ParseReplCursor(%q) = %v, re-parsed as %v", s, cur, back)
 		}
 	})
+}
+
+// FuzzSnapshotLoad writes arbitrary bytes over a small archive's index
+// snapshot and opens it. The open must not panic and must list exactly
+// what a snapshot-free rescan of the same segment lists: a snapshot that
+// fails validation falls back to the rescan. The seed is the archive's
+// own shard-000.idx plus truncated and bit-flipped copies of it.
+func FuzzSnapshotLoad(f *testing.F) {
+	src := f.TempDir()
+	s, err := Open(src, Options{Shards: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Ingest(seedChunks(3, 6)); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(src, "shard-000.idx"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	clean := openCopy(f, src)
+	want := clean.Files()
+	clean.crashClose()
+
+	f.Add(snap)
+	f.Add([]byte{})
+	f.Add(bytes.Clone(snap[:len(snap)/2]))
+	for _, off := range []int{0, 16, snapshotHeaderSize + 9, len(snap) - 1} {
+		flipped := bytes.Clone(snap)
+		flipped[off] ^= 0x20
+		f.Add(flipped)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		copyArchive(t, src, dir)
+		if err := os.WriteFile(filepath.Join(dir, "shard-000.idx"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open over a mutated snapshot: %v", err)
+		}
+		defer s.crashClose()
+		if got := s.Files(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Files() = %+v, rescan lists %+v", got, want)
+		}
+	})
+}
+
+// openCopy opens a snapshot-free copy of the archive at src.
+func openCopy(tb testing.TB, src string) *Store {
+	tb.Helper()
+	dir := tb.TempDir()
+	copyArchive(tb, src, dir)
+	s, err := Open(dir, Options{NoSnapshots: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// copyArchive copies the regular files of archive directory src into dst.
+func copyArchive(tb testing.TB, src, dst string) {
+	tb.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,7 +39,17 @@ import (
 // for concurrent use; mount it under "/" next to pprof/expvar the same
 // way enviromic-sim's -http debug mux is wired.
 func NewHandler(s *Store) http.Handler {
-	h := &handler{store: s}
+	return NewHandlerWith(s, storeReader{s})
+}
+
+// NewHandlerWith is NewHandler with the five read routes (/files,
+// /files/{id}, /files/{id}/gaps, /files/{id}/wav, /query) answered from
+// rd instead of s alone. The write and replication routes still go to
+// s. A federation station passes its merged view here, so federated
+// reads are parsed and rendered by exactly the code that serves a
+// single station.
+func NewHandlerWith(s *Store, rd Reader) http.Handler {
+	h := &handler{store: s, rd: rd}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /files", h.files)
 	mux.HandleFunc("GET /files/{id}", h.file)
@@ -55,8 +66,73 @@ func NewHandler(s *Store) http.Handler {
 	return mux
 }
 
+// Reader is the data behind the five read routes. Every answer also
+// names the peers whose holdings it is missing (nil when complete); the
+// handler reports them in PartialHeader. Lookups of an absent file
+// return ErrNotFound.
+type Reader interface {
+	// Files lists every file, sorted by ID.
+	Files(ctx context.Context) ([]FileInfo, []string)
+	// Query lists the files overlapping [from,to) that any of origins
+	// recorded, with Store.Query's semantics and order.
+	Query(ctx context.Context, from, to sim.Time, origins map[int32]bool) ([]FileInfo, []string)
+	// Chunks returns one file's summary and its chunk keys, sorted by
+	// (start, origin, seq) like a reassembled file.
+	Chunks(ctx context.Context, id flash.FileID) (FileInfo, []ChunkKey, []string, error)
+	// Gaps returns one file's coverage gaps at tolerance.
+	Gaps(ctx context.Context, id flash.FileID, tolerance time.Duration) ([]Gap, []string, error)
+	// Audio returns the erasure-decoded file that /wav renders.
+	Audio(ctx context.Context, id flash.FileID) (*retrieval.File, []string, error)
+	// GapTolerance is /files/{id}/gaps' default tolerance.
+	GapTolerance() time.Duration
+}
+
+// storeReader answers the read routes from one station's Store.
+type storeReader struct{ s *Store }
+
+func (r storeReader) Files(context.Context) ([]FileInfo, []string) { return r.s.Files(), nil }
+
+func (r storeReader) Query(_ context.Context, from, to sim.Time, origins map[int32]bool) ([]FileInfo, []string) {
+	return r.s.Query(from, to, origins), nil
+}
+
+func (r storeReader) Chunks(_ context.Context, id flash.FileID) (FileInfo, []ChunkKey, []string, error) {
+	fi, err := r.s.Info(id)
+	if err != nil {
+		return fi, nil, nil, err
+	}
+	f, err := r.s.File(id)
+	if err != nil {
+		return fi, nil, nil, err
+	}
+	keys := make([]ChunkKey, len(f.Chunks))
+	for i, c := range f.Chunks {
+		keys[i] = ChunkKey{
+			Origin: c.Origin, Seq: c.Seq,
+			Start: int64(c.Start), End: int64(c.End),
+			Bytes: int64(len(c.Data)),
+		}
+	}
+	return fi, keys, nil, nil
+}
+
+func (r storeReader) Gaps(_ context.Context, id flash.FileID, tolerance time.Duration) ([]Gap, []string, error) {
+	gaps, err := r.s.Gaps(id, tolerance)
+	return gaps, nil, err
+}
+
+func (r storeReader) Audio(_ context.Context, id flash.FileID) (*retrieval.File, []string, error) {
+	// Erasure-aware read: gaps coverable by archived parity fragments
+	// are reconstructed before stitching.
+	f, _, err := r.s.FileErasure(id)
+	return f, nil, err
+}
+
+func (r storeReader) GapTolerance() time.Duration { return r.s.GapTolerance() }
+
 type handler struct {
 	store *Store
+	rd    Reader
 }
 
 // EndpointOf maps an archive request to its route pattern ("/files/{id}/wav"
@@ -90,9 +166,13 @@ func EndpointOf(r *http.Request) string {
 	}
 }
 
-// FileInfoJSON is FileInfo in response form: times both as raw
+// PartialHeader names the peers whose holdings a federated response is
+// missing. Its absence means the answer covers every healthy station.
+const PartialHeader = "X-Federation-Partial"
+
+// fileInfoJSON is FileInfo in response form: times both as raw
 // nanoseconds (machine use) and seconds (human use).
-type FileInfoJSON struct {
+type fileInfoJSON struct {
 	ID       flash.FileID `json:"id"`
 	Start    int64        `json:"start_ns"`
 	End      int64        `json:"end_ns"`
@@ -104,16 +184,24 @@ type FileInfoJSON struct {
 	Gaps     int          `json:"gaps"`
 }
 
-func InfoJSON(fi FileInfo) FileInfoJSON {
+func infoJSON(fi FileInfo) fileInfoJSON {
 	origins := fi.Origins
 	if origins == nil {
 		origins = []int32{}
 	}
-	return FileInfoJSON{
+	return fileInfoJSON{
 		ID: fi.ID, Start: int64(fi.Start), End: int64(fi.End),
 		StartSec: fi.Start.Seconds(), EndSec: fi.End.Seconds(),
 		Chunks: fi.Chunks, Bytes: fi.Bytes, Origins: origins, Gaps: fi.Gaps,
 	}
+}
+
+func infosJSON(infos []FileInfo) []fileInfoJSON {
+	out := make([]fileInfoJSON, 0, len(infos))
+	for _, fi := range infos {
+		out = append(out, infoJSON(fi))
+	}
+	return out
 }
 
 type gapJSON struct {
@@ -135,9 +223,31 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// ParseTime accepts a Go duration ("90s") or bare seconds ("90.5") since
+// markPartial names the failed peers in PartialHeader. It runs before
+// the body (or error) is written, so 404 and 422 answers carry it too.
+func markPartial(w http.ResponseWriter, failed []string) {
+	if len(failed) > 0 {
+		w.Header().Set(PartialHeader, strings.Join(failed, ","))
+	}
+}
+
+// readFailed answers a failed file lookup (404 for ErrNotFound, 500
+// otherwise) and reports whether err was non-nil.
+func readFailed(w http.ResponseWriter, id flash.FileID, err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case errors.Is(err, ErrNotFound):
+		httpError(w, http.StatusNotFound, "file %d not found", id)
+	default:
+		httpError(w, http.StatusInternalServerError, "%v", err)
+	}
+	return true
+}
+
+// parseTime accepts a Go duration ("90s") or bare seconds ("90.5") since
 // simulation start.
-func ParseTime(s string) (sim.Time, error) {
+func parseTime(s string) (sim.Time, error) {
 	if s == "" {
 		return 0, nil
 	}
@@ -160,12 +270,9 @@ func (h *handler) fileID(r *http.Request) (flash.FileID, error) {
 }
 
 func (h *handler) files(w http.ResponseWriter, r *http.Request) {
-	infos := h.store.Files()
-	out := make([]FileInfoJSON, 0, len(infos))
-	for _, fi := range infos {
-		out = append(out, InfoJSON(fi))
-	}
-	WriteJSON(w, out)
+	infos, failed := h.rd.Files(r.Context())
+	markPartial(w, failed)
+	WriteJSON(w, infosJSON(infos))
 }
 
 func (h *handler) file(w http.ResponseWriter, r *http.Request) {
@@ -174,14 +281,9 @@ func (h *handler) file(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	fi, err := h.store.Info(id)
-	if errors.Is(err, ErrNotFound) {
-		httpError(w, http.StatusNotFound, "file %d not found", id)
-		return
-	}
-	f, err := h.store.File(id)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+	fi, keys, failed, err := h.rd.Chunks(r.Context(), id)
+	markPartial(w, failed)
+	if readFailed(w, id, err) {
 		return
 	}
 	type chunkJSON struct {
@@ -191,19 +293,25 @@ func (h *handler) file(w http.ResponseWriter, r *http.Request) {
 		EndSec   float64 `json:"end_s"`
 		Bytes    int     `json:"bytes"`
 	}
-	chunks := make([]chunkJSON, 0, len(f.Chunks))
-	for _, c := range f.Chunks {
+	var start, end sim.Time
+	chunks := make([]chunkJSON, 0, len(keys))
+	for i, c := range keys {
+		cs, ce := sim.Time(c.Start), sim.Time(c.End)
+		if i == 0 {
+			start = cs // keys are start-ordered
+		}
+		end = max(end, ce)
 		chunks = append(chunks, chunkJSON{
 			Origin: c.Origin, Seq: c.Seq,
-			StartSec: c.Start.Seconds(), EndSec: c.End.Seconds(),
-			Bytes: len(c.Data),
+			StartSec: cs.Seconds(), EndSec: ce.Seconds(),
+			Bytes: int(c.Bytes),
 		})
 	}
 	WriteJSON(w, struct {
-		FileInfoJSON
+		fileInfoJSON
 		DurationSec float64     `json:"duration_s"`
 		ChunkList   []chunkJSON `json:"chunk_list"`
-	}{InfoJSON(fi), f.Duration().Seconds(), chunks})
+	}{infoJSON(fi), end.Sub(start).Seconds(), chunks})
 }
 
 func (h *handler) gaps(w http.ResponseWriter, r *http.Request) {
@@ -212,7 +320,7 @@ func (h *handler) gaps(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tolerance := h.store.GapTolerance()
+	tolerance := h.rd.GapTolerance()
 	if s := r.URL.Query().Get("tolerance"); s != "" {
 		d, err := time.ParseDuration(s)
 		if err != nil || d <= 0 {
@@ -221,9 +329,9 @@ func (h *handler) gaps(w http.ResponseWriter, r *http.Request) {
 		}
 		tolerance = d
 	}
-	gaps, err := h.store.Gaps(id, tolerance)
-	if errors.Is(err, ErrNotFound) {
-		httpError(w, http.StatusNotFound, "file %d not found", id)
+	gaps, failed, err := h.rd.Gaps(r.Context(), id, tolerance)
+	markPartial(w, failed)
+	if readFailed(w, id, err) {
 		return
 	}
 	out := make([]gapJSON, 0, len(gaps))
@@ -265,15 +373,9 @@ func (h *handler) wav(w http.ResponseWriter, r *http.Request) {
 		}
 		rate = v
 	}
-	// Erasure-aware read: gaps coverable by archived parity fragments
-	// are reconstructed before stitching.
-	f, _, err := h.store.FileErasure(id)
-	if errors.Is(err, ErrNotFound) {
-		httpError(w, http.StatusNotFound, "file %d not found", id)
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+	f, failed, err := h.rd.Audio(r.Context(), id)
+	markPartial(w, failed)
+	if readFailed(w, id, err) {
 		return
 	}
 	samples := trace.Stitch(f, rate)
@@ -293,12 +395,12 @@ func (h *handler) wav(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	from, err := ParseTime(q.Get("from"))
+	from, err := parseTime(q.Get("from"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "from: %v", err)
 		return
 	}
-	to, err := ParseTime(q.Get("to"))
+	to, err := parseTime(q.Get("to"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "to: %v", err)
 		return
@@ -319,16 +421,24 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 			origins[int32(v)] = true
 		}
 	}
-	infos := h.store.Query(from, to, origins)
-	out := make([]FileInfoJSON, 0, len(infos))
-	for _, fi := range infos {
-		out = append(out, InfoJSON(fi))
-	}
-	WriteJSON(w, out)
+	infos, failed := h.rd.Query(r.Context(), from, to, origins)
+	markPartial(w, failed)
+	WriteJSON(w, infosJSON(infos))
 }
 
+// maxIngestBytes caps a POST /ingest body; a larger one gets 413. The
+// largest bodies in-repo clients send, measured: a /repl/delta batch of
+// DefaultDeltaBytes (1 MiB plus at most one 264-byte frame), a 140,688-
+// byte city tour flush in the federation smoke, and a 38,544-byte batch
+// in perfbench's station workload. The cap is 20x the largest.
+const maxIngestBytes = 20 << 20
+
 func (h *handler) ingest(w http.ResponseWriter, r *http.Request) {
-	chunks, err := DecodeFrames(r.Body)
+	chunks, err := DecodeFrames(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "ingest body over %d bytes", tooBig.Limit)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -441,12 +551,12 @@ func (h *handler) replDelta(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) replManifest(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	from, err := ParseTime(q.Get("from"))
+	from, err := parseTime(q.Get("from"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "from: %v", err)
 		return
 	}
-	to, err := ParseTime(q.Get("to"))
+	to, err := parseTime(q.Get("to"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "to: %v", err)
 		return

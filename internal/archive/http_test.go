@@ -50,7 +50,7 @@ func getJSON(t *testing.T, url string, into any) *http.Response {
 func TestHTTPFilesAndFile(t *testing.T) {
 	_, srv := newTestServer(t)
 
-	var files []FileInfoJSON
+	var files []fileInfoJSON
 	if resp := getJSON(t, srv.URL+"/files", &files); resp.StatusCode != 200 {
 		t.Fatalf("/files status %d", resp.StatusCode)
 	}
@@ -62,7 +62,7 @@ func TestHTTPFilesAndFile(t *testing.T) {
 	}
 
 	var one struct {
-		FileInfoJSON
+		fileInfoJSON
 		DurationSec float64 `json:"duration_s"`
 		ChunkList   []struct {
 			Origin int32  `json:"origin"`
@@ -137,7 +137,7 @@ func TestHTTPWav(t *testing.T) {
 
 func TestHTTPQuery(t *testing.T) {
 	_, srv := newTestServer(t)
-	var files []FileInfoJSON
+	var files []fileInfoJSON
 	getJSON(t, srv.URL+"/query?from=9s&to=30s", &files)
 	if len(files) != 1 || files[0].ID != 2 {
 		t.Fatalf("time query = %+v", files)
@@ -217,6 +217,56 @@ func TestHTTPIngest(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != 400 {
 		t.Fatalf("torn ingest status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestHTTPIngestTooLarge posts a valid framed body one byte over
+// maxIngestBytes: it must be refused with 413 before anything lands.
+func TestHTTPIngestTooLarge(t *testing.T) {
+	s, srv := newTestServer(t)
+	before := s.Stats().Chunks
+
+	frameLen := func(payload int) int {
+		c := mkChunk(9, 1, 0, 0, 1)
+		c.Data = make([]byte, payload)
+		b, err := EncodeFrames([]*flash.Chunk{c})
+		if err != nil {
+			t.Fatalf("EncodeFrames: %v", err)
+		}
+		return len(b)
+	}
+	overhead := frameLen(0)
+	maxFrame := overhead + flash.PayloadSize
+	var chunks []*flash.Chunk
+	for rem := maxIngestBytes + 1; rem > 0; {
+		n := min(rem, maxFrame)
+		if r := rem - n; r > 0 && r < overhead {
+			n = rem - overhead // leave room for one more (empty-payload) frame
+		}
+		seq := uint32(len(chunks))
+		c := mkChunk(9, int32(seq>>16)+1, seq, float64(seq), float64(seq)+1)
+		c.Data = bytes.Repeat([]byte{byte(seq)}, n-overhead)
+		chunks = append(chunks, c)
+		rem -= n
+	}
+	body, err := EncodeFrames(chunks)
+	if err != nil {
+		t.Fatalf("EncodeFrames: %v", err)
+	}
+	if len(body) != maxIngestBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(body), maxIngestBytes+1)
+	}
+	resp, err := http.Post(srv.URL+"/ingest", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /ingest: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized ingest status %d, want 413", resp.StatusCode)
+	}
+	if got := s.Stats().Chunks; got != before {
+		t.Fatalf("chunks %d after a refused ingest, want %d", got, before)
 	}
 }
 

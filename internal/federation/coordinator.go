@@ -8,22 +8,26 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"enviromic/internal/archive"
+	"enviromic/internal/erasure"
 	"enviromic/internal/flash"
+	"enviromic/internal/retrieval"
 	"enviromic/internal/sim"
 )
 
 // The fan-out coordinator. Every federated read follows the same
 // shape: ask the local store, ask every healthy peer's /repl endpoint
 // in parallel (marked LocalHeader so peers answer from their own store
-// only), merge with the archive's supersession rule — per (origin,
-// seq), the longest copy wins, local first on ties — and answer in
-// exactly the single-station JSON shape. Failed peers are dropped from
-// the merge and named in the PartialHeader.
+// only), and merge with the archive's supersession rule — per (origin,
+// seq), the longest copy wins, local first on ties. mergedReader hands
+// the merge to the archive's handler, which renders it exactly like a
+// single station's answer. Failed peers are dropped from the merge and
+// named in archive.PartialHeader.
 
 // peerResp is one peer's answer to one fan-out path.
 type peerResp struct {
@@ -71,6 +75,9 @@ func (st *Station) fanout(ctx context.Context, endpoint string, paths []string) 
 		}
 	}
 	sort.Strings(failed)
+	if len(failed) > 0 {
+		st.cPartial.Inc() // one fan-out round per federated response
+	}
 	return out, failed
 }
 
@@ -103,8 +110,9 @@ type ckey struct {
 }
 
 // mergedManifest merges the local manifest with every healthy peer's
-// into one keep-longest chunk-key view per file. A non-nil files set
-// restricts the merge (and the peer requests) to those IDs.
+// into one keep-longest chunk-key view per file, in no particular
+// order. A non-nil files set restricts the merge (and the peer
+// requests) to those IDs.
 func (st *Station) mergedManifest(ctx context.Context, endpoint string, files map[flash.FileID]bool) (map[flash.FileID][]archive.ChunkKey, []string) {
 	path := "/repl/manifest"
 	if len(files) > 0 {
@@ -148,14 +156,6 @@ func (st *Station) mergedManifest(ctx context.Context, endpoint string, files ma
 	out := make(map[flash.FileID][]archive.ChunkKey)
 	for k, c := range best {
 		out[k.file] = append(out[k.file], c)
-	}
-	for _, chunks := range out {
-		sort.Slice(chunks, func(i, j int) bool {
-			if chunks[i].Origin != chunks[j].Origin {
-				return chunks[i].Origin < chunks[j].Origin
-			}
-			return chunks[i].Seq < chunks[j].Seq
-		})
 	}
 	return out, failed
 }
@@ -229,3 +229,101 @@ func (st *Station) federatedChunks(ctx context.Context, endpoint string, ids []f
 	}
 	return out, failed, nil
 }
+
+// mergedReader is the Station's archive.Reader: every answer comes
+// from the merge of the local store and every healthy peer.
+type mergedReader struct{ st *Station }
+
+func (m mergedReader) Files(ctx context.Context) ([]archive.FileInfo, []string) {
+	infos, failed := m.infos(ctx, "/files", 0, 0, nil)
+	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
+	return infos, failed
+}
+
+func (m mergedReader) Query(ctx context.Context, from, to sim.Time, origins map[int32]bool) ([]archive.FileInfo, []string) {
+	infos, failed := m.infos(ctx, "/query", from, to, origins)
+	sort.Slice(infos, func(i, j int) bool {
+		if infos[i].Start != infos[j].Start {
+			return infos[i].Start < infos[j].Start
+		}
+		return infos[i].ID < infos[j].ID
+	})
+	return infos, failed
+}
+
+// infos merges the full manifests, then filters on the MERGED spans: a
+// file whose pieces individually miss the window can still overlap it
+// once the stations' holdings are combined, and only the merged view
+// matches what a fully-replicated station would answer.
+func (m mergedReader) infos(ctx context.Context, endpoint string, from, to sim.Time, origins map[int32]bool) ([]archive.FileInfo, []string) {
+	merged, failed := m.st.mergedManifest(ctx, endpoint, nil)
+	bounded := from != 0 || to != 0
+	infos := make([]archive.FileInfo, 0, len(merged))
+	for id, chunks := range merged {
+		fi := m.st.infoFor(id, chunks)
+		if bounded && (fi.End <= from || (to != 0 && fi.Start >= to)) {
+			continue
+		}
+		if len(origins) > 0 && !slices.ContainsFunc(fi.Origins, func(o int32) bool { return origins[o] }) {
+			continue
+		}
+		infos = append(infos, fi)
+	}
+	return infos, failed
+}
+
+func (m mergedReader) Chunks(ctx context.Context, id flash.FileID) (archive.FileInfo, []archive.ChunkKey, []string, error) {
+	chunks, failed := m.file(ctx, "/files/{id}", id)
+	if len(chunks) == 0 {
+		return archive.FileInfo{}, nil, failed, archive.ErrNotFound
+	}
+	sort.Slice(chunks, func(i, j int) bool {
+		a, b := chunks[i], chunks[j]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.Origin != b.Origin {
+			return a.Origin < b.Origin
+		}
+		return a.Seq < b.Seq
+	})
+	return m.st.infoFor(id, chunks), chunks, failed, nil
+}
+
+func (m mergedReader) Gaps(ctx context.Context, id flash.FileID, tolerance time.Duration) ([]archive.Gap, []string, error) {
+	chunks, failed := m.file(ctx, "/files/{id}/gaps", id)
+	if len(chunks) == 0 {
+		return nil, failed, archive.ErrNotFound
+	}
+	return archive.GapsInSpans(chunks, tolerance), failed, nil
+}
+
+// file is one file's merged chunk keys.
+func (m mergedReader) file(ctx context.Context, endpoint string, id flash.FileID) ([]archive.ChunkKey, []string) {
+	merged, failed := m.st.mergedManifest(ctx, endpoint, map[flash.FileID]bool{id: true})
+	return merged[id], failed
+}
+
+// Audio pools the file AND its parity sibling from every station, then
+// erasure-decodes over the merged holdings: k surviving fragments
+// reconstruct a group even when no single station holds k of them.
+func (m mergedReader) Audio(ctx context.Context, id flash.FileID) (*retrieval.File, []string, error) {
+	ids := []flash.FileID{id}
+	if id&erasure.ParityFileBit == 0 {
+		ids = append(ids, id|erasure.ParityFileBit)
+	}
+	pool, failed, err := m.st.federatedChunks(ctx, "/files/{id}/wav", ids)
+	if err != nil {
+		return nil, failed, err
+	}
+	files, _ := retrieval.ReassembleErasure(
+		map[int][]*flash.Chunk{0: pool},
+		retrieval.Query{Files: map[flash.FileID]bool{id: true}},
+	)
+	if f := files[id]; f != nil {
+		return f, failed, nil
+	}
+	return nil, failed, archive.ErrNotFound
+}
+
+func (m mergedReader) GapTolerance() time.Duration { return m.st.store.GapTolerance() }

@@ -16,12 +16,13 @@
 //     how many stations hold each stripe.
 //
 //   - Federated query fan-out (coordinator.go): /query, /files, /gaps,
-//     and /wav fan out to every healthy peer in parallel, merge the
+//     and /wav fan out to every healthy peer in parallel and merge the
 //     chunk-key manifests with keep-longest (origin, seq) dedup — the
-//     exact supersession rule the archive applies on ingest — and
-//     answer with the same JSON a single fully-replicated station
-//     would. Peers that fail or time out degrade the answer to the
-//     surviving holdings, marked by the X-Federation-Partial header.
+//     exact supersession rule the archive applies on ingest. The merge
+//     is an archive.Reader, so the archive's own handler renders it
+//     with the same JSON a single fully-replicated station would. Peers
+//     that fail or time out degrade the answer to the surviving
+//     holdings, marked by the X-Federation-Partial header.
 //     Erasure groups whose k surviving fragments are scattered across
 //     stations decode during /wav via retrieval.ReassembleErasure.
 //
@@ -48,10 +49,6 @@ import (
 // store only. Fan-out requests carry it so a peer never re-fans-out
 // (no recursion, no amplification).
 const LocalHeader = "X-Enviromic-Local"
-
-// PartialHeader names the peers a federated response is missing. Its
-// absence means the answer covers every healthy station.
-const PartialHeader = "X-Federation-Partial"
 
 // Peer is one remote station.
 type Peer struct {

@@ -186,8 +186,8 @@ func TestOverlappingIntervalsAcrossStations(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("%s via %s: HTTP %d", path, ts.name, status)
 			}
-			if hdr.Get(PartialHeader) != "" {
-				t.Fatalf("%s via %s: unexpected partial marker %q", path, ts.name, hdr.Get(PartialHeader))
+			if hdr.Get(archive.PartialHeader) != "" {
+				t.Fatalf("%s via %s: unexpected partial marker %q", path, ts.name, hdr.Get(archive.PartialHeader))
 			}
 			assertSameResponse(t, ts.srv.URL+path, ref.URL+path, path+" via "+ts.name)
 		}
@@ -347,7 +347,7 @@ func TestPartialResults(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("/query: HTTP %d", status)
 	}
-	if got := hdr.Get(PartialHeader); got != "s2" {
+	if got := hdr.Get(archive.PartialHeader); got != "s2" {
 		t.Fatalf("partial marker = %q, want \"s2\"", got)
 	}
 	_, _, refBody := get(t, ref.URL+"/query")
@@ -368,7 +368,7 @@ func TestPartialResults(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("/query after probe: HTTP %d", status)
 	}
-	if got := hdr.Get(PartialHeader); got != "" {
+	if got := hdr.Get(archive.PartialHeader); got != "" {
 		t.Fatalf("partial marker survived peer exclusion: %q", got)
 	}
 	if string(body) != string(refBody) {

@@ -171,9 +171,8 @@ type shardState struct {
 	// indexed by KindID and node ID — the per-Send increment is a bounds
 	// check and an add, no map hashing. They are converted to the
 	// name-keyed maps of Stats only at snapshot time.
-	txByKind     []uint64   // [KindID]count
-	txByNode     []uint64   // [nodeID]frames
-	txByNodeKind [][]uint64 // [nodeID][KindID]count
+	txByKind []uint64 // [KindID]count
+	txByNode []uint64 // [nodeID]frames
 	// scratch is the reusable candidate buffer for neighbor rebuilds.
 	scratch []int
 	// pad spaces adjacent shardStates apart so the per-Send counter
@@ -181,14 +180,10 @@ type shardState struct {
 	_ [64]byte
 }
 
-// countTx records one transmitted payload of the given kind from node.
-// The caller has already ensured txByNode/txByNodeKind cover node.
-func (st *shardState) countTx(node int, kind KindID) {
+// countTx records one transmitted payload of the given kind.
+func (st *shardState) countTx(kind KindID) {
 	st.txByKind = growKind(st.txByKind, kind)
 	st.txByKind[kind]++
-	nk := growKind(st.txByNodeKind[node], kind)
-	nk[kind]++
-	st.txByNodeKind[node] = nk
 }
 
 // Network is the shared medium connecting all endpoints of one scenario.
@@ -277,9 +272,6 @@ type Stats struct {
 	TxByKind map[string]uint64
 	// TxByNode counts transmitted frames per sender.
 	TxByNode map[int]uint64
-	// TxByNodeKind counts (sender, kind) pairs, including piggybacked
-	// payloads.
-	TxByNodeKind map[int]map[string]uint64
 	// Delivered and Lost count per-receiver delivery outcomes.
 	Delivered, Lost uint64
 	// DroppedRadioOff counts frames that found the receiver's radio off.
@@ -350,7 +342,6 @@ func growKind(a []uint64, id KindID) []uint64 {
 func (n *Network) Stats() *Stats {
 	var cp Stats
 	var txByKind, txByNode []uint64
-	var txByNodeKind [][]uint64
 	for si := range n.sh {
 		st := &n.sh[si]
 		cp.Delivered += st.stats.Delivered
@@ -365,21 +356,12 @@ func (n *Network) Stats() *Stats {
 		// read in place. Stats runs on every metrics sample, so skipping
 		// the merge copies keeps the serial alloc profile unchanged.
 		st := &n.sh[0]
-		txByKind, txByNode, txByNodeKind = st.txByKind, st.txByNode, st.txByNodeKind
+		txByKind, txByNode = st.txByKind, st.txByNode
 	} else {
 		for si := range n.sh {
 			st := &n.sh[si]
 			txByKind = mergeCounts(txByKind, st.txByKind)
 			txByNode = mergeCounts(txByNode, st.txByNode)
-			for node, counts := range st.txByNodeKind {
-				if counts == nil {
-					continue
-				}
-				for node >= len(txByNodeKind) {
-					txByNodeKind = append(txByNodeKind, nil)
-				}
-				txByNodeKind[node] = mergeCounts(txByNodeKind[node], counts)
-			}
 		}
 	}
 	nkinds := 0
@@ -401,29 +383,10 @@ func (n *Network) Stats() *Stats {
 		}
 	}
 	cp.TxByNode = make(map[int]uint64, nnodes)
-	cp.TxByNodeKind = make(map[int]map[string]uint64, nnodes)
 	for node, v := range txByNode {
-		if v == 0 {
-			continue
+		if v != 0 {
+			cp.TxByNode[node] = v
 		}
-		cp.TxByNode[node] = v
-		var counts []uint64
-		if node < len(txByNodeKind) {
-			counts = txByNodeKind[node]
-		}
-		size := 0
-		for _, c := range counts {
-			if c != 0 {
-				size++
-			}
-		}
-		nk := make(map[string]uint64, size)
-		for id, c := range counts {
-			if c != 0 {
-				nk[KindName(KindID(id))] = c
-			}
-		}
-		cp.TxByNodeKind[node] = nk
 	}
 	return &cp
 }
@@ -754,13 +717,12 @@ func (e *Endpoint) Send(to int, payload Payload, piggyback ...Payload) {
 	}
 	for e.id >= len(st.txByNode) {
 		st.txByNode = append(st.txByNode, 0)
-		st.txByNodeKind = append(st.txByNodeKind, nil)
 	}
 	st.txByNode[e.id]++
 	kind := payload.Kind()
-	st.countTx(e.id, kind)
+	st.countTx(kind)
 	for _, p := range f.Piggyback {
-		st.countTx(e.id, p.Kind())
+		st.countTx(p.Kind())
 	}
 
 	if e.listener != nil {

@@ -236,9 +236,6 @@ func TestPiggybackCountsAndSize(t *testing.T) {
 	if st.TxByKind["sensing"] != 1 || st.TxByKind["ttl"] != 1 {
 		t.Errorf("TxByKind = %v", st.TxByKind)
 	}
-	if st.TxByNodeKind[0]["ttl"] != 1 {
-		t.Errorf("TxByNodeKind = %v", st.TxByNodeKind)
-	}
 }
 
 func TestNeighbors(t *testing.T) {

@@ -15,8 +15,9 @@
 #      byte-identical via any survivor,
 #   6. ingest fresh data while the station is down, restart it, and
 #      require its persisted replication cursor to catch it back up,
-#   7. aim the federated query storm at the cluster and record
-#      BENCH_federation.json (zero errors required).
+#   7. aim the federated query storm at the cluster (zero errors
+#      required). The storm's JSON stays in the temp dir, so the
+#      smoke leaves the checkout clean.
 # Exits non-zero on the first failure. Usage: scripts/federation_smoke.sh
 set -e
 cd "$(dirname "$0")/.."
@@ -153,12 +154,12 @@ for _ in $(seq 1 150); do
 done
 [ -n "$ok" ] || { echo "FAIL: s3 stuck at $got/$s1_chunks chunks after rejoin"; exit 1; }
 
-echo "== 7. federated query storm -> BENCH_federation.json"
+echo "== 7. federated query storm"
 "$tmp/load" -urls "$u1,$u2,$u3" -clients 50 -requests 10 \
-    -out BENCH_federation.json > /dev/null
-grep -q '"errors": 0' BENCH_federation.json || {
-    echo "FAIL: federated storm saw errors"; cat BENCH_federation.json; exit 1; }
-grep -q '"stations": 3' BENCH_federation.json || {
+    -out "$tmp/storm.json" > /dev/null
+grep -q '"errors": 0' "$tmp/storm.json" || {
+    echo "FAIL: federated storm saw errors"; cat "$tmp/storm.json"; exit 1; }
+grep -q '"stations": 3' "$tmp/storm.json" || {
     echo "FAIL: storm did not cover 3 stations"; exit 1; }
 
 echo "federation smoke: OK"
